@@ -34,7 +34,6 @@ let bench_settings =
     benchmarks = [ "crc32" ];
     sample = None;
     plan_cache = None;
-    cache_onepass = false;
   }
 
 (* Shared pipelines, built once: each test measures only its own

@@ -79,20 +79,13 @@ let resolve_options ~tune ~stress ~tune_store ~bench ~seed ~instrs ~dynamic
           Printf.eprintf "clone_gen: %s\n" msg;
           exit 1)
     in
-    let store =
-      Option.map
-        (fun dir ->
-          Pc_tune.Tune_store.create
-            (if dir = "" then Pc_tune.Tune_store.default_dir () else dir))
-        tune_store
-    in
     Log.info (fun m ->
         m "tuning %s (budget %d, %s mode)" bench budget
           (match mode with
           | Pc_tune.Fitness.Mimic _ -> "mimic"
           | Pc_tune.Fitness.Stress _ -> "stress"));
     let result =
-      Pc_tune.Search.run ?store ~budget ~bench ~seed ~profile_instrs:instrs
+      Pc_tune.Search.run ?store:tune_store ~budget ~bench ~seed ~profile_instrs:instrs
         ~target_dynamic:dynamic ~mode profile
     in
     Format.eprintf "%a" Pc_tune.Report.pp [ result ];

@@ -3,7 +3,7 @@
    Usage:
      run_experiments [EXPERIMENT]... [--quick] [--bench NAME]... [--seed N] [-j N]
                      [--sample N] [--sample-out FILE] [--sample-no-ref]
-                     [--plan-cache [DIR]] [--cache-onepass] [--trace FILE]
+                     [--plan-cache [DIR]] [--trace FILE]
                      [--trace-period-ms MS] [--metrics] [--metrics-out FILE]
                      [-v] [--quiet]
 
@@ -182,7 +182,7 @@ let write_sample_summary ~pool ~interval ~no_ref settings pipelines path =
     (fun () -> output_string oc (Buffer.contents b))
 
 let main experiments quick benches seed jobs sample sample_out sample_no_ref
-    plan_cache cache_onepass trace trace_period_ms metrics metrics_out ledger
+    plan_cache trace trace_period_ms metrics metrics_out ledger
     verbosity quiet =
   Pc_obs.Logging.setup ~quiet ~verbosity ();
   if metrics || metrics_out <> None || ledger <> None then
@@ -213,21 +213,8 @@ let main experiments quick benches seed jobs sample sample_out sample_no_ref
         | Some _ | None -> None)
       | None -> None)
   in
-  let plan_cache =
-    match plan_cache with
-    | None -> None
-    | Some "" -> Some (Pc_sample.Plan_cache.default_dir ())
-    | Some dir -> Some dir
-  in
   if plan_cache <> None && sample = None then
     Format.eprintf "run_experiments: --plan-cache ignored without --sample@.";
-  let cache_onepass =
-    cache_onepass
-    ||
-    match Sys.getenv_opt "PC_CACHE_ONEPASS" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false
-  in
   let settings =
     {
       base with
@@ -235,7 +222,6 @@ let main experiments quick benches seed jobs sample sample_out sample_no_ref
       benchmarks = (if benches = [] then base.E.benchmarks else benches);
       sample;
       plan_cache = (if sample = None then None else plan_cache);
-      cache_onepass;
     }
   in
   let experiments = if experiments = [] then [ "all" ] else experiments in
@@ -415,27 +401,16 @@ let plan_cache_arg =
     "With $(b,--sample), persist sampling plans on disk under $(docv) so \
      repeated invocations skip plan construction.  Without a value, \
      defaults to \\$XDG_CACHE_HOME/pc-sample (or ~/.cache/pc-sample).  \
-     Entries are keyed by a content hash of the plan-format version, \
-     profile digest, interval and clustering parameters, so stale or \
-     cross-version plans are never reused; corrupt files are dropped and \
-     recomputed.  Hits and misses are reported as the \
+     Entries are keyed by a content hash of the plan-format magic, \
+     program, budget, interval and seed, and carry a payload checksum, \
+     so stale, cross-version or damaged plans are never reused: they are \
+     dropped and recomputed.  Hits and misses are reported as the \
      $(b,plan_cache.*) metrics."
   in
   Arg.(
     value
     & opt ~vopt:(Some "") (some string) None
     & info [ "plan-cache" ] ~docv:"DIR" ~doc)
-
-let cache_onepass_arg =
-  let doc =
-    "Price every 28-configuration cache sweep with the one-pass \
-     stack-distance profiler instead of simulating all 28 caches — the \
-     same results (byte-identical, the test suite holds the two equal) \
-     at about the cost of a single pass over the trace.  Applies to \
-     both full-trace sweeps and sampled projections.  Also enabled by \
-     setting $(b,PC_CACHE_ONEPASS) to 1, true or yes."
-  in
-  Arg.(value & flag & info [ "cache-onepass" ] ~doc)
 
 let trace_arg =
   let doc =
@@ -500,7 +475,7 @@ let cmd =
     Term.(
       const main $ experiments_arg $ quick_arg $ bench_arg $ seed_arg $ jobs_arg
       $ sample_arg $ sample_out_arg $ sample_no_ref_arg $ plan_cache_arg
-      $ cache_onepass_arg $ trace_arg
+      $ trace_arg
       $ trace_period_ms_arg $ metrics_arg $ metrics_out_arg $ ledger_arg
       $ (const List.length $ verbose_arg)
       $ quiet_arg)

@@ -35,9 +35,15 @@ let cmd_run path max_instrs =
     (Pc_funcsim.Machine.ireg m Pc_isa.Reg.ret)
 
 let cmd_time path max_instrs width in_order =
-  let program = load path in
   let cfg = Pc_uarch.Config.base in
-  let cfg = if width > 1 then Pc_uarch.Config.with_widths width cfg else cfg in
+  let cfg =
+    match if width = 1 then cfg else Pc_uarch.Config.with_widths width cfg with
+    | cfg -> cfg
+    | exception Invalid_argument msg ->
+      Printf.eprintf "srisc_run: %s\n" msg;
+      exit 2
+  in
+  let program = load path in
   let cfg = Pc_uarch.Config.with_in_order in_order cfg in
   let r = Pc_uarch.Sim.run ~max_instrs cfg program in
   Printf.printf "%s on %s:\n" program.Pc_isa.Program.name r.Pc_uarch.Sim.config_name;

@@ -43,13 +43,6 @@ let main quick benches seed jobs budget stress per_phase store output trace
         Printf.eprintf "tune_report: %s\n" msg;
         exit 1)
   in
-  let store =
-    Option.map
-      (fun dir ->
-        Pc_tune.Tune_store.create
-          (if dir = "" then Pc_tune.Tune_store.default_dir () else dir))
-      store
-  in
   let pipelines = E.prepare ~pool settings in
   let results =
     List.map

@@ -39,9 +39,9 @@ val run_trace_onepass :
     tag-array simulations, making a grid sweep cost about one pass.
     Bumps [study.onepass.runs]/[study.onepass.trace_refs] (not the
     simulated-path counters) and runs under a [study:onepass] span.
-    This is what [--cache-onepass] / [PC_CACHE_ONEPASS] route the
-    experiment drivers through; the simulated {!run_trace} remains the
-    oracle it is differentially tested against. *)
+    Every experiment driver prices its sweeps this way; the simulated
+    {!run_trace} remains the oracle it is differentially tested
+    against. *)
 
 val relative_mpi : result array -> float array
 (** The paper's Figure-4 series: misses-per-instruction of each of the 27

@@ -7,6 +7,7 @@ module Power = Pc_power.Power
 module Profile = Pc_profile.Profile
 module Pool = Pc_exec.Pool
 module Store = Pc_exec.Store
+module Disk_store = Pc_exec.Disk_store
 module Span = Pc_obs.Span
 
 let log_src = Logs.Src.create "perfclone" ~doc:"Performance-cloning experiment progress"
@@ -21,7 +22,6 @@ type settings = {
   benchmarks : string list;
   sample : int option;
   plan_cache : string option;
-  cache_onepass : bool;
 }
 
 let default_settings =
@@ -33,7 +33,6 @@ let default_settings =
     benchmarks = [];
     sample = None;
     plan_cache = None;
-    cache_onepass = false;
   }
 
 let quick_settings =
@@ -45,7 +44,6 @@ let quick_settings =
     benchmarks = [ "crc32"; "qsort"; "sha"; "fft"; "dijkstra" ];
     sample = None;
     plan_cache = None;
-    cache_onepass = false;
   }
 
 let prepare ?(pool = Pool.serial) settings =
@@ -105,8 +103,14 @@ let clear_caches () =
    model reuses the plan across all configurations (the BBV phases are
    microarchitecture-independent), and the cache study replays the same
    representative traces.  With [settings.plan_cache] set, plans also
-   persist on disk across invocations ({!Pc_sample.Plan_cache}): the
-   in-memory store stays the first line, the disk cache backs it. *)
+   persist on disk across invocations: the in-memory store stays the
+   first line, the disk store backs it.  The clustering parameters are
+   {!Pc_sample.Sample.plan}'s defaults, so changing them (or the plan
+   layout) means bumping the magic. *)
+let plan_disk : Pc_sample.Sample.plan Disk_store.kind =
+  Disk_store.kind ~name:"plan_cache" ~magic:"pc-plan/2" ~ext:".plan"
+    ~default_dir:"pc-sample" ()
+
 let sample_plan settings ~interval program =
   let key = digest (program, settings.sim_instrs, interval, settings.seed) in
   Store.find_or_compute plan_store key (fun () ->
@@ -117,13 +121,9 @@ let sample_plan settings ~interval program =
       match settings.plan_cache with
       | None -> compute ()
       | Some dir ->
-        let cache = Pc_sample.Plan_cache.create dir in
-        let ckey =
-          Pc_sample.Plan_cache.key
-            ~profile_id:(digest (program, settings.sim_instrs))
-            ~interval ~seed:settings.seed ()
-        in
-        Pc_sample.Plan_cache.find_or_compute cache ckey compute)
+        Disk_store.find_or_compute
+          (Disk_store.create plan_disk dir)
+          (Disk_store.key plan_disk key) compute)
 
 (* Replayed phase results are microarchitecture-dependent (one array per
    configuration) and feed both the timing and the power projections, so
@@ -200,36 +200,29 @@ type cache_study = {
   clone_mpi : float array;
 }
 
-(* The one-pass results are byte-identical to the simulated ones, but
-   the memo keys are still tagged with the path so that a mixed-flag
-   process (e.g. the onepass-equivalence tests) never serves one path's
-   cached series as evidence the other path agrees. *)
+(* Every sweep is priced by the one-pass stack-distance profiler;
+   {!Study.run_trace} stays as the oracle the test suite holds it to. *)
 let mpi_trace settings program =
   let max_instrs = settings.sim_instrs in
   let mpis =
     match settings.sample with
     | None ->
-      let key = digest (program, max_instrs, settings.cache_onepass) in
+      let key = digest (program, max_instrs) in
       Store.find_or_compute trace_store key (fun () ->
           let feed emit =
             let m = Machine.load program in
             Machine.run ~max_instrs m (fun ev ->
                 if ev.Machine.mem_addr >= 0 then emit ev.Machine.mem_addr)
           in
-          let results =
-            if settings.cache_onepass then Study.run_trace_onepass feed
-            else Study.run_trace feed
-          in
-          Array.map (fun (r : Study.result) -> r.Study.mpi) results)
+          Array.map
+            (fun (r : Study.result) -> r.Study.mpi)
+            (Study.run_trace_onepass feed))
     | Some interval ->
       let key =
-        digest
-          ( "sampled-mpi", program, max_instrs, interval, settings.seed,
-            settings.cache_onepass )
+        digest ("sampled-mpi", program, max_instrs, interval, settings.seed)
       in
       Store.find_or_compute trace_store key (fun () ->
-          Pc_sample.Sample.project_mpi ~onepass:settings.cache_onepass
-            (sample_plan settings ~interval program))
+          Pc_sample.Sample.project_mpi (sample_plan settings ~interval program))
   in
   Array.copy mpis
 

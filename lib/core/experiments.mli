@@ -17,18 +17,10 @@ type settings = {
           default everywhere) leaves every figure byte-identical to
           unsampled operation. *)
   plan_cache : string option;
-      (** [Some dir]: persist sampling plans on disk under [dir]
-          ({!Pc_sample.Plan_cache}), so repeated sampled invocations skip
+      (** [Some dir]: persist sampling plans on disk under [dir] ([""]
+          for the default [pc-sample] cache directory, see
+          {!Pc_exec.Disk_store}), so repeated sampled invocations skip
           plan construction.  Only consulted when [sample] is set. *)
-  cache_onepass : bool;
-      (** [true]: price every 28-configuration cache sweep with the
-          one-pass stack-distance profiler
-          ({!Pc_caches.Study.run_trace_onepass}) instead of 28 simulated
-          caches — both the full-trace sweeps and the sampled
-          {!Pc_sample.Sample.project_mpi} bounds.  Results are
-          byte-identical to the simulated path (the test suite holds the
-          two equal); only the cost changes.  Exposed as
-          [--cache-onepass] / [PC_CACHE_ONEPASS] on the CLI. *)
 }
 
 val default_settings : settings
@@ -85,7 +77,12 @@ val plan_store : (string, Pc_sample.Sample.plan) Pc_exec.Store.t
     seed); shared across every configuration that simulates the same
     program (phases are microarchitecture-independent).  When
     [settings.plan_cache] is set, misses fall through to the on-disk
-    {!Pc_sample.Plan_cache} before computing. *)
+    {!Pc_exec.Disk_store} (magic [pc-plan/2]) before computing. *)
+
+val plan_disk : Pc_sample.Sample.plan Pc_exec.Disk_store.kind
+(** The on-disk plan store behind {!plan_store}: magic [pc-plan/2],
+    [.plan] entries, [plan_cache.*] counters, default directory
+    [pc-sample], at most 256 entries. *)
 
 val phase_store :
   (string, (Pc_sample.Sample.rep * Pc_uarch.Sim.result) array) Pc_exec.Store.t
@@ -144,6 +141,9 @@ type cache_study = {
 
 val cache_studies :
   ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list -> cache_study list
+(** Every 28-configuration sweep is priced in one stack-distance pass
+    ({!Pc_caches.Study.run_trace_onepass}), whose results equal the 28
+    simulated caches of {!Pc_caches.Study.run_trace} byte for byte. *)
 
 val average_correlation : cache_study list -> float
 

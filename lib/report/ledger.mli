@@ -2,8 +2,8 @@
     record per invocation ([--ledger \[DIR\]]), so drift between runs
     can be diffed after the fact ([pc_diff --ledger]).
 
-    Record ([run-NNNNNN-<id12>.json], written atomically via the same
-    tmp-then-rename discipline as {!Pc_sample.Plan_cache}):
+    Record ([run-NNNNNN-<id12>.json], written atomically by
+    {!Pc_exec.Disk_store.write_atomic}):
 
     {v
     { "schema": "pc-run/1", "id": "<hex digest>",
@@ -38,13 +38,9 @@ type t
 
 type artifact = { schema : string; path : string }
 
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pc-ledger], falling back through [$HOME/.cache]
-    to the system temp dir. *)
-
 val create : string -> t
-(** Open (creating if needed) the ledger directory.  [""] means
-    {!default_dir}. *)
+(** Open (creating if needed) the ledger directory.  [""] means the
+    [pc-ledger] cache directory ({!Pc_exec.Disk_store.default_dir}). *)
 
 val dir : t -> string
 

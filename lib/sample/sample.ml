@@ -615,7 +615,7 @@ let feed_addrs trace ~from ~until emit =
    misses but also the genuine compulsory ones (lower bound).  The
    midpoint of the two bounds is the projection — the classic
    cold/warm-bound estimator for sampled cache simulation. *)
-let project_mpi ?(onepass = false) plan =
+let project_mpi plan =
   let n_configs = Array.length Study.configs in
   let proj_misses = Array.make n_configs 0.0 in
   Array.iter
@@ -631,8 +631,7 @@ let project_mpi ?(onepass = false) plan =
           feed_addrs rep.trace ~from:rep.warmup ~until:len emit;
           rep.window
         in
-        if onepass then Study.run_trace_onepass ~warmup feed
-        else Study.run_trace ~warmup feed
+        Study.run_trace_onepass ~warmup feed
       in
       let cold = run ~prime:false in
       let warm = run ~prime:true in

@@ -126,21 +126,17 @@ val project_power_of_phases :
 val project_power : Pc_uarch.Config.t -> plan -> float
 (** [replay_phases] followed by {!project_power_of_phases}. *)
 
-val project_mpi : ?onepass:bool -> plan -> float array
+val project_mpi : plan -> float array
 (** Replay every representative's data references through the paper's
-    28-configuration cache study ({!Pc_caches.Study.run_trace} with the
-    warmup prefix excluded from the counts) and project whole-program
+    28-configuration cache study (priced in one stack-distance pass by
+    {!Pc_caches.Study.run_trace_onepass}, with the warmup prefix
+    excluded from the counts) and project whole-program
     misses per instruction for each configuration, population-weighted
     like {!project_sim}.  Each window is measured twice — once from the
     warmup prefix alone (cold bound) and once additionally primed with
     the window's own lines (warm bound) — and the projection is the
     midpoint, cancelling the cold-start overestimate that large
-    configurations otherwise suffer.
-
-    [onepass] (default [false]) prices each bound with the one-pass
-    stack-distance sweep ({!Pc_caches.Study.run_trace_onepass}) instead
-    of the 28 simulated caches; the projection is byte-identical either
-    way, the grids just cost one traversal per bound. *)
+    configurations otherwise suffer. *)
 
 val replay_events :
   Pc_funcsim.Machine.statics ->

@@ -7,6 +7,12 @@ let log_src = Logs.Src.create "pc.tune" ~doc:"Closed-loop clone knob tuning"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Every input that shapes a score is part of the key (see [run]), so
+   only {!Fitness.eval}'s layout versions the magic. *)
+let eval_disk : Fitness.eval Pc_exec.Disk_store.kind =
+  Pc_exec.Disk_store.kind ~max_entries:512 ~name:"tune.store"
+    ~magic:"pc-tune-eval/2" ~ext:".eval" ~default_dir:"pc-tune" ()
+
 let c_evals = M.counter "tune.evals"
 let c_memo_hits = M.counter "tune.memo_hits"
 let c_generations = M.counter "tune.generations"
@@ -150,9 +156,10 @@ let run ?(pool = Pool.serial) ?store ?(budget = 32) ?phases ~bench ~seed
               []))
   in
   let key_of k =
-    Tune_store.key ~profile_id ~knobs_id:(knobs_id k) ~mode_id:mode_key ~seed
-      ~profile_instrs ~target_dynamic ()
+    Pc_exec.Disk_store.key eval_disk
+      (profile_id, knobs_id k, mode_key, seed, profile_instrs, target_dynamic)
   in
+  let store = Option.map (Pc_exec.Disk_store.create eval_disk) store in
   (* All candidate creation happens here, on the calling domain, from
      this one generator: pool width never touches the random stream. *)
   let rng = Rng.create (seed lxor 0x74756e65) in
@@ -175,11 +182,11 @@ let run ?(pool = Pool.serial) ?store ?(budget = 32) ?phases ~bench ~seed
           match store with
           | None -> (key, compute k, false)
           | Some st -> (
-            match Tune_store.find st key with
+            match Pc_exec.Disk_store.find st key with
             | Some e -> (key, e, true)
             | None ->
               let e = compute k in
-              Tune_store.store st key e;
+              Pc_exec.Disk_store.store st key e;
               (key, e, false)))
         fresh
     in

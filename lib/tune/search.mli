@@ -22,9 +22,10 @@
       store hit/miss counts are byte-identical at [-j 1] and [-j N];
     - selection ties break on insertion order, never on timing.
 
-    With an on-disk {!Tune_store}, every unique evaluation is
-    content-addressed and memoised across runs: a rerun with the same
-    inputs converges to the identical result from cache alone.
+    With an on-disk store ({!Pc_exec.Disk_store}, magic
+    [pc-tune-eval/2], counters [tune.store.*]), every unique evaluation
+    is content-addressed and memoised across runs: a rerun with the
+    same inputs converges to the identical result from cache alone.
 
     Instrumented with [tune:search] / [tune:generation] spans, the
     [tune.evals] / [tune.memo_hits] counters and the
@@ -45,6 +46,11 @@ val default_knobs : knobs
 (** The neutral vector: {!Pc_synth.Synth.default_options}'s knob
     values.  Always candidate 0 of generation 0, so the search's
     baseline fitness is the untuned generator's. *)
+
+val eval_disk : Fitness.eval Pc_exec.Disk_store.kind
+(** The on-disk evaluation store behind [run ~store]: magic
+    [pc-tune-eval/2], [.eval] entries, [tune.store.*] counters, default
+    directory [pc-tune], at most 512 entries. *)
 
 val knobs_id : knobs -> string
 (** Stable digest of a knob vector (part of the tune-store key). *)
@@ -91,7 +97,7 @@ type result = {
 
 val run :
   ?pool:Pc_exec.Pool.t ->
-  ?store:Tune_store.t ->
+  ?store:string ->
   ?budget:int ->
   ?phases:int * Pc_isa.Program.t ->
   bench:string ->
@@ -105,7 +111,8 @@ val run :
     bounds unique evaluations; [pool] (default serial) fans them out —
     callers must not invoke [run] from inside a pool task themselves
     (pool batches do not nest); [store] (default none) memoises across
-    runs; [phases = (interval, original_program)] turns on per-phase
+    runs in that directory ([""] for the default [pc-tune] cache
+    directory, at most 512 entries kept); [phases = (interval, original_program)] turns on per-phase
     mimic scoring and participates in the store key.  [profile_instrs]
     is the measurement budget ({!Fitness.measure}'s [max_instrs]) and,
     like every argument that shapes the score, part of the store key.

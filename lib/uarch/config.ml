@@ -98,6 +98,7 @@ let with_l1d_size size t =
     t
 
 let with_widths w t =
+  if w < 1 then invalid_arg (Printf.sprintf "Config.with_widths: width %d < 1" w);
   {
     t with
     fetch_width = w;

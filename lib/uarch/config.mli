@@ -42,7 +42,8 @@ val with_l1d_size : int -> t -> t
     Associativity and line size are preserved. *)
 
 val with_widths : int -> t -> t
-(** Design change 3 doubles fetch/decode/issue (and commit) width. *)
+(** Design change 3 doubles fetch/decode/issue (and commit) width.
+    Raises [Invalid_argument] for a width below 1. *)
 
 val with_bpred : Pc_branch.Predictor.config -> t -> t
 (** Design change 4: [with_bpred Not_taken base]. *)

@@ -1,12 +1,16 @@
 (* Tests for pc_exec: the domain pool must behave exactly like serial
    execution (order, exceptions, results) at every width, and the memo
    store must count hits/misses and keep seed-distinguished keys apart.
+   The on-disk store must round-trip values, bound its size, and never
+   serve a damaged entry: every corruption reads as a miss.
    The determinism-under-parallelism invariant — experiment rows are
    bit-identical at -j 1 and -j 4 — is the contract every driver in
    Perfclone.Experiments relies on. *)
 
 module Pool = Pc_exec.Pool
 module Store = Pc_exec.Store
+module Disk_store = Pc_exec.Disk_store
+module M = Pc_obs.Metrics
 module E = Perfclone.Experiments
 
 (* --- pool: unit --- *)
@@ -158,6 +162,144 @@ let qcheck_pool_map_equiv =
       let f x = (x * 7919) lxor (x lsr 3) in
       Pool.map pool f xs = List.map f xs)
 
+(* --- disk store --- *)
+
+(* A value with the shapes the real kinds store: floats, strings, a
+   list and an array. *)
+type sample_value = { score : float; parts : (string * float) list; ids : int array }
+
+let value =
+  { score = 0.25; parts = [ ("ipc", 0.125); ("mpki", 1.5) ]; ids = [| 3; 1; 4 |] }
+
+let kind ?max_entries magic =
+  Disk_store.kind ?max_entries ~name:"test.disk" ~magic ~ext:".t" ~default_dir:"pc-test" ()
+
+let test_kind : sample_value Disk_store.kind = kind "pc-test/1"
+
+let fresh_dir () =
+  let path = Filename.temp_file "pc_disk_store_test" "" in
+  Sys.remove path;
+  path
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (M.snapshot ()).M.counters)
+
+let entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_disk_roundtrip_counters () =
+  let dir = fresh_dir () in
+  let t : sample_value Disk_store.t = Disk_store.create test_kind dir in
+  let key = Disk_store.key test_kind ("roundtrip", 1) in
+  let hits0 = counter "test.disk.hits" and misses0 = counter "test.disk.misses" in
+  Alcotest.(check bool) "cold lookup misses" true (Disk_store.find t key = None);
+  Alcotest.(check int) "miss counted" (misses0 + 1) (counter "test.disk.misses");
+  Disk_store.store t key value;
+  Alcotest.(check bool) "warm lookup returns the stored value" true
+    (Disk_store.find t key = Some value);
+  Alcotest.(check int) "hit counted" (hits0 + 1) (counter "test.disk.hits");
+  Alcotest.(check int) "hit is not a miss" (misses0 + 1) (counter "test.disk.misses");
+  Alcotest.(check (list string)) "one entry, no temporary files left" [ key ^ ".t" ]
+    (entries dir);
+  Alcotest.(check bool) "keys separate their parts" true
+    (Disk_store.key test_kind ("roundtrip", 2) <> key);
+  Alcotest.(check bool) "keys separate magics" true
+    (Disk_store.key (kind "pc-test/2") ("roundtrip", 1) <> key)
+
+let test_disk_corruption_recovery () =
+  let dir = fresh_dir () in
+  let t : sample_value Disk_store.t = Disk_store.create test_kind dir in
+  let key = Disk_store.key test_kind "corrupt" in
+  let path = Filename.concat dir (key ^ ".t") in
+  let miss_and_removed what contents =
+    write_file path contents;
+    Alcotest.(check bool) (what ^ " reads as a miss") true (Disk_store.find t key = None);
+    Alcotest.(check bool) (what ^ " removed") false (Sys.file_exists path)
+  in
+  Disk_store.store t key value;
+  let good = read_file path in
+  (* Valid magic, garbled payload: must be dropped, not trusted. *)
+  miss_and_removed "garbled payload"
+    ("pc-test/1\n" ^ String.make 32 '0' ^ "\nnot a value");
+  let computed = ref false in
+  let recovered =
+    Disk_store.find_or_compute t key (fun () ->
+        computed := true;
+        value)
+  in
+  Alcotest.(check bool) "recomputed after corruption" true !computed;
+  Alcotest.(check bool) "recomputed value returned" true (recovered = value);
+  Alcotest.(check bool) "recomputed value re-stored" true (Disk_store.find t key = Some value);
+  miss_and_removed "truncated header" "pc-t";
+  miss_and_removed "truncated payload" (String.sub good 0 (String.length good - 1));
+  miss_and_removed "foreign magic"
+    ("pc-test/0" ^ String.sub good 9 (String.length good - 9));
+  miss_and_removed "empty file" ""
+
+(* Flipping any single bit of a stored entry must never yield a
+   different value or abort: the digest is checked before unmarshalling. *)
+let test_disk_bit_flips () =
+  let dir = fresh_dir () in
+  let t : sample_value Disk_store.t = Disk_store.create test_kind dir in
+  let key = Disk_store.key test_kind "flips" in
+  let path = Filename.concat dir (key ^ ".t") in
+  Disk_store.store t key value;
+  let good = read_file path in
+  let wrong = ref 0 in
+  for bit = 0 to (8 * String.length good) - 1 do
+    let b = Bytes.of_string good in
+    let i = bit / 8 in
+    Bytes.set b i (Char.chr (Char.code good.[i] lxor (1 lsl (bit mod 8))));
+    write_file path (Bytes.to_string b);
+    match Disk_store.find t key with
+    | Some v when v <> value -> incr wrong
+    | Some _ | None -> ()
+  done;
+  Alcotest.(check int) "no flip served a different value" 0 !wrong
+
+let test_disk_eviction () =
+  let dir = fresh_dir () in
+  let small = kind ~max_entries:2 "pc-test/1" in
+  let t : int Disk_store.t = Disk_store.create small dir in
+  let ev0 = counter "test.disk.evictions" in
+  List.iter (fun i -> Disk_store.store t (Disk_store.key small i) i) [ 0; 1; 2 ];
+  Alcotest.(check int) "eviction keeps max_entries" 2 (List.length (entries dir));
+  Alcotest.(check int) "eviction counted" (ev0 + 1) (counter "test.disk.evictions");
+  Alcotest.check_raises "max_entries must be positive"
+    (Invalid_argument "Pc_exec.Disk_store.kind: max_entries must be positive")
+    (fun () -> ignore (kind ~max_entries:0 "pc-test/1"))
+
+let test_disk_default_dir () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "XDG_CACHE_HOME") in
+  let base = fresh_dir () in
+  Unix.putenv "XDG_CACHE_HOME" base;
+  Fun.protect ~finally:(fun () -> Unix.putenv "XDG_CACHE_HOME" saved) @@ fun () ->
+  let t = Disk_store.create test_kind "" in
+  let expected = Filename.concat base "pc-test" in
+  Alcotest.(check bool) "empty dir means the kind's default, created" true
+    (Sys.is_directory expected);
+  let key = Disk_store.key test_kind "default" in
+  Disk_store.store t key value;
+  Alcotest.(check bool) "entries land there" true
+    (Sys.file_exists (Filename.concat expected (key ^ ".t")));
+  Alcotest.(check string) "explicit dir kept" "x/y"
+    (Disk_store.resolve_dir ~default:"pc-test" "x/y")
+
+let test_disk_unusable_dir () =
+  (* A directory under a regular file can never be created: the store
+     must degrade to always-miss instead of raising. *)
+  let file = Filename.temp_file "pc_disk_store_file" "" in
+  let t = Disk_store.create test_kind (Filename.concat file "sub") in
+  let key = Disk_store.key test_kind "unusable" in
+  Disk_store.store t key value;
+  Alcotest.(check bool) "lookups miss" true (Disk_store.find t key = None);
+  Alcotest.(check bool) "find_or_compute still computes" true
+    (Disk_store.find_or_compute t key (fun () -> value) = value)
+
 (* --- determinism under parallelism: fig3/fig6 at -j 1 vs -j 4 --- *)
 
 let fig_rows jobs =
@@ -204,6 +346,19 @@ let () =
           Alcotest.test_case "failed compute not cached" `Quick
             test_store_exception_caches_nothing;
           Alcotest.test_case "parallel access" `Quick test_store_parallel_access;
+        ] );
+      ( "disk-store",
+        [
+          Alcotest.test_case "round-trip and hit/miss counters" `Quick
+            test_disk_roundtrip_counters;
+          Alcotest.test_case "corruption and truncation recovery" `Quick
+            test_disk_corruption_recovery;
+          Alcotest.test_case "bit flips never serve a wrong value" `Quick
+            test_disk_bit_flips;
+          Alcotest.test_case "eviction bound" `Quick test_disk_eviction;
+          Alcotest.test_case "default directory" `Quick test_disk_default_dir;
+          Alcotest.test_case "unusable directory degrades to misses" `Quick
+            test_disk_unusable_dir;
         ] );
       ( "determinism",
         [

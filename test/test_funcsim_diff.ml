@@ -466,7 +466,6 @@ let test_fig_pool_identity () =
       benchmarks = [ "crc32"; "sha" ];
       sample = None;
       plan_cache = None;
-      cache_onepass = false;
     }
   in
   let render pool =

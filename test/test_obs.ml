@@ -533,7 +533,6 @@ let test_fig6_byte_identity () =
       benchmarks = [ "crc32"; "sha" ];
       sample = None;
       plan_cache = None;
-      cache_onepass = false;
     }
   in
   let render () =

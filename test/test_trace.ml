@@ -24,7 +24,6 @@ let small_settings =
     benchmarks = [ "crc32"; "sha" ];
     sample = None;
     plan_cache = None;
-    cache_onepass = false;
   }
 
 let with_collection f =

@@ -13,7 +13,6 @@ module Collector = Pc_profile.Collector
 module Fidelity = Pc_trace.Fidelity
 module Fitness = Pc_tune.Fitness
 module Search = Pc_tune.Search
-module Tune_store = Pc_tune.Tune_store
 module Report = Pc_tune.Report
 module Pool = Pc_exec.Pool
 module Rng = Pc_util.Rng
@@ -235,8 +234,7 @@ let test_search_pool_width_identity () =
     (serial = parallel)
 
 let test_search_store_cold_warm () =
-  let dir = tmpdir "pc-tune-test" in
-  let store = Tune_store.create dir in
+  let store = tmpdir "pc-tune-test" in
   let bare = run_search "sha" in
   let cold = run_search ~store "sha" in
   let warm = run_search ~store "sha" in
@@ -252,38 +250,40 @@ let test_search_store_cold_warm () =
 
 let test_store_corruption_recovery () =
   let dir = tmpdir "pc-tune-corrupt" in
-  let store = Tune_store.create dir in
-  let key =
-    Tune_store.key ~profile_id:"p" ~knobs_id:"k" ~mode_id:"m" ~seed:1
-      ~profile_instrs:1 ~target_dynamic:1 ()
-  in
+  let store = Pc_exec.Disk_store.create Search.eval_disk dir in
+  let key = Pc_exec.Disk_store.key Search.eval_disk ("p", "k", "m", 1) in
   let eval = { Fitness.fitness = 0.25; components = [ ("x", 0.25) ] } in
-  Tune_store.store store key eval;
-  (match Tune_store.find store key with
+  Pc_exec.Disk_store.store store key eval;
+  (match Pc_exec.Disk_store.find store key with
   | Some e -> Alcotest.(check (float 1e-9)) "roundtrip" 0.25 e.Fitness.fitness
   | None -> Alcotest.fail "stored entry not found");
   (* truncate the entry to garbage: find must drop it and miss, and a
      recompute must repopulate it *)
   let file = Filename.concat dir (key ^ ".eval") in
-  let oc = open_out_bin file in
-  output_string oc "pc-tune-eval/1\ngarbage";
-  close_out oc;
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "pc-tune-eval/2\ngarbage");
   Alcotest.(check bool) "corrupt entry reads as a miss" true
-    (Tune_store.find store key = None);
+    (Pc_exec.Disk_store.find store key = None);
   Alcotest.(check bool) "corrupt entry removed" false (Sys.file_exists file);
-  let recomputed = Tune_store.find_or_compute store key (fun () -> eval) in
+  let recomputed =
+    Pc_exec.Disk_store.find_or_compute store key (fun () -> eval)
+  in
   Alcotest.(check (float 1e-9)) "recomputed" 0.25 recomputed.Fitness.fitness;
-  Alcotest.(check bool) "repopulated" true (Tune_store.find store key <> None)
+  Alcotest.(check bool) "repopulated" true
+    (Pc_exec.Disk_store.find store key <> None)
 
 let test_store_eviction () =
+  (* The production kind keeps 512 entries; a kind identical but for
+     its capacity exercises the same eviction path. *)
+  let small : Fitness.eval Pc_exec.Disk_store.kind =
+    Pc_exec.Disk_store.kind ~max_entries:3 ~name:"tune.store"
+      ~magic:"pc-tune-eval/2" ~ext:".eval" ~default_dir:"pc-tune" ()
+  in
   let dir = tmpdir "pc-tune-evict" in
-  let store = Tune_store.create ~max_entries:3 dir in
+  let store = Pc_exec.Disk_store.create small dir in
   for i = 1 to 6 do
-    let key =
-      Tune_store.key ~profile_id:(string_of_int i) ~knobs_id:"k" ~mode_id:"m"
-        ~seed:1 ~profile_instrs:1 ~target_dynamic:1 ()
-    in
-    Tune_store.store store key { Fitness.fitness = 0.0; components = [] }
+    let key = Pc_exec.Disk_store.key small (string_of_int i, "k", "m", 1) in
+    Pc_exec.Disk_store.store store key { Fitness.fitness = 0.0; components = [] }
   done;
   let entries =
     Sys.readdir dir |> Array.to_list

@@ -36,6 +36,16 @@ let test_ipc_bounded_by_width () =
   Alcotest.(check bool) "width-1 IPC <= 1" true (r1 <= 1.0);
   Alcotest.(check bool) "width-1 IPC sane" true (r1 > 0.5)
 
+let test_widths_reject_nonpositive () =
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "width %d" w)
+        (Invalid_argument (Printf.sprintf "Config.with_widths: width %d < 1" w))
+        (fun () -> ignore (Config.with_widths w Config.base)))
+    [ 0; -1 ];
+  Alcotest.(check int) "width 1 accepted" 1
+    (Config.with_widths 1 Config.base).Config.issue_width
+
 let test_dependencies_limit_ilp () =
   let ind = loop_program ~name:"ind" ~iters:2000 (independent_alu_body 16) in
   let dep = loop_program ~name:"dep" ~iters:2000 (dependent_alu_body 16) in
@@ -296,6 +306,8 @@ let () =
       ( "resources",
         [
           Alcotest.test_case "IPC bounded by width" `Quick test_ipc_bounded_by_width;
+          Alcotest.test_case "widths below 1 rejected" `Quick
+            test_widths_reject_nonpositive;
           Alcotest.test_case "dependencies limit ILP" `Quick test_dependencies_limit_ilp;
           Alcotest.test_case "width scales independent code" `Quick
             test_width_scales_independent_code;
