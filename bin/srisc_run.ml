@@ -12,18 +12,11 @@
 open Cmdliner
 
 let load path =
-  let is_binary =
-    let ic = open_in_bin path in
-    let m = really_input_string ic 6 in
-    close_in ic;
-    m = "SRISC1"
-  in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      if is_binary then Pc_isa.Encoding.read ic
-      else Pc_isa.Parser.parse_channel ~name:(Filename.basename path) ic)
+  match Pc_isa.Loader.load path with
+  | Ok program -> program
+  | Error msg ->
+    Printf.eprintf "srisc_run: %s\n" msg;
+    exit 2
 
 let cmd_run path max_instrs =
   let program = load path in

@@ -174,3 +174,12 @@ let publish_metrics t ~prefix =
   let c suffix v = Pc_obs.Metrics.add (Pc_obs.Metrics.counter (prefix ^ suffix)) v in
   c ".lookups" t.lookups;
   c ".mispredicts" t.mispredictions
+
+let sweep configs ~feed =
+  let preds = Array.of_list (List.map create configs) in
+  feed (fun ~pc ~taken ->
+      for i = 0 to Array.length preds - 1 do
+        ignore (observe preds.(i) ~pc ~taken)
+      done);
+  Array.iter (fun p -> publish_metrics p ~prefix:"branch.sweep") preds;
+  Array.to_list preds

@@ -52,6 +52,16 @@ val mispredictions : t -> int
 val misprediction_rate : t -> float
 (** Mispredictions per lookup; [0] when no lookups. *)
 
+val sweep : config list -> feed:((pc:int -> taken:bool -> unit) -> unit) -> t list
+(** [sweep configs ~feed] prices every predictor in [configs] from one
+    pass over a branch stream: it creates one predictor per config (in
+    order), runs [feed], and {!observe}s every [(pc, taken)] the feed
+    emits on each of them.  Since the predictors are the very ones a
+    timing model drives, the result is exactly what [List.length
+    configs] separate runs over the same stream would give.  The
+    summed lookups and mispredictions are published under the
+    [branch.sweep] prefix (see {!publish_metrics}). *)
+
 val publish_metrics : t -> prefix:string -> unit
 (** Add this predictor's lifetime [lookups] / [mispredictions] into the
     global {!Pc_obs.Metrics} registry as [<prefix>.lookups] and

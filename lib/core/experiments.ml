@@ -525,20 +525,38 @@ type bpred_study = {
   bp_clone_rates : float array;
 }
 
+(* A misprediction rate is a function of the retired (pc, taken) stream
+   alone: the timing model observes every conditional branch in program
+   order, whatever the rest of the core does.  So one functional pass
+   prices all of [bpred_configs]; the per-config timing model is the
+   oracle the test suite holds this to.  Exact in both modes: under
+   [--sample] the rates are whole-run, not phase-projected. *)
+let bpred_sweep settings program =
+  Pc_branch.Predictor.sweep bpred_configs ~feed:(fun observe ->
+      let m = Machine.load program in
+      let is_branch =
+        Array.map
+          (function Pc_isa.Instr.C_branch -> true | _ -> false)
+          (Machine.statics m).Machine.s_classes
+      in
+      ignore
+        (Machine.run_batched ~max_instrs:settings.sim_instrs m (fun b ->
+             for j = 0 to b.Machine.len - 1 do
+               let pc = b.Machine.b_pc.(j) in
+               if is_branch.(pc) then observe ~pc ~taken:b.Machine.b_taken.(j)
+             done)))
+
+let mispredict_rates settings program =
+  Array.of_list
+    (List.map Pc_branch.Predictor.misprediction_rate (bpred_sweep settings program))
+
 let bpred_studies ?(pool = Pool.serial) settings pipelines =
   Span.with_ "bpred" @@ fun () ->
-  let rates program =
-    Array.of_list
-      (List.map
-         (fun bp ->
-           let cfg = Config.with_bpred bp Config.base in
-           Sim.mispredict_rate (sim_run settings cfg program))
-         bpred_configs)
-  in
   Pool.map pool
     (fun (p : Pipeline.t) ->
-      let bp_orig_rates = rates p.Pipeline.original in
-      let bp_clone_rates = rates p.Pipeline.clone in
+      Span.with_ ("bpred:" ^ p.Pipeline.name) @@ fun () ->
+      let bp_orig_rates = mispredict_rates settings p.Pipeline.original in
+      let bp_clone_rates = mispredict_rates settings p.Pipeline.clone in
       {
         bp_bench = p.Pipeline.name;
         bp_correlation = Stats.pearson bp_clone_rates bp_orig_rates;

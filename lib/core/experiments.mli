@@ -261,12 +261,23 @@ type bpred_study = {
   bp_clone_rates : float array;
 }
 
+val bpred_sweep : settings -> Pc_isa.Program.t -> Pc_branch.Predictor.t list
+(** Every {!bpred_configs} predictor (in order) after one functional pass
+    of [settings.sim_instrs] retired instructions over the program's
+    conditional branches ({!Pc_branch.Predictor.sweep}).  The counts are
+    exactly the [branches]/[mispredictions] of a per-config
+    {!Pc_uarch.Sim.run} over the same budget, since the timing model
+    trains its predictor on the same retired stream. *)
+
 val bpred_studies :
   ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list -> bpred_study list
-(** The analogue of the 28-cache study for branch predictors: simulate
-    original and clone under every {!bpred_configs} entry and correlate
-    misprediction rates.  Supports the paper's claim that the clone
-    tracks "a wide range of ... branch predictor configurations". *)
+(** The analogue of the 28-cache study for branch predictors: price
+    original and clone under every {!bpred_configs} entry with
+    {!bpred_sweep} and correlate the misprediction rates (exact in both
+    modes: [settings.sample] does not apply).  Supports
+    the paper's claim that the clone tracks "a wide range of ... branch
+    predictor configurations".  Runs under a [bpred] span with one
+    [bpred:<bench>] child per pipeline. *)
 
 val pp_bpred : Format.formatter -> bpred_study list -> unit
 

@@ -157,8 +157,9 @@ let to_bytes (p : Program.t) =
 
 let of_bytes bytes =
   let c = { data = bytes; pos = 0 } in
-  let m = Bytes.sub_string bytes 0 (String.length magic + 1) in
-  if m <> magic ^ "\n" then failwith "Encoding: bad magic";
+  let header = magic ^ "\n" in
+  if not (String.starts_with ~prefix:header (Bytes.unsafe_to_string bytes)) then
+    failwith "Encoding: bad magic";
   c.pos <- String.length magic + 1;
   let name = get_string c in
   let n_code = get_int c in

@@ -10,6 +10,9 @@
     the unbounded immediates of the simulator ISA survive the round
     trip. *)
 
+val magic : string
+(** ["SRISC1"], the first bytes of every encoded program. *)
+
 val write : out_channel -> Program.t -> unit
 (** Serialise a program. *)
 

@@ -237,15 +237,6 @@ let parse_string ?(name = "anonymous") text =
       (List.rev !items)
   with Invalid_argument msg -> raise (Error msg)
 
-let parse_channel ?name ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  parse_string ?name (Buffer.contents buf)
-
 let roundtrip_text (p : Program.t) =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf ".name %s\n" p.Program.name;

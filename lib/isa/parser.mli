@@ -24,8 +24,6 @@ val parse_string : ?name:string -> string -> Program.t
 (** Parse a whole translation unit.  [name] overrides a missing [.name]
     directive (default ["anonymous"]). *)
 
-val parse_channel : ?name:string -> in_channel -> Program.t
-
 val roundtrip_text : Program.t -> string
 (** Render a program in parseable form ({!Program.pp}'s listing plus the
     directives needed to reconstruct it). *)

@@ -81,6 +81,8 @@ let base =
 let with_name name t = { t with name }
 
 let with_rob_lsq ~rob ~lsq t =
+  if rob < 1 then invalid_arg (Printf.sprintf "Config.with_rob_lsq: rob %d < 1" rob);
+  if lsq < 1 then invalid_arg (Printf.sprintf "Config.with_rob_lsq: lsq %d < 1" lsq);
   { t with rob_size = rob; lsq_size = lsq; name = Printf.sprintf "%s+rob%d" t.name rob }
 
 let with_l1d_config l1 t =

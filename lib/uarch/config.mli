@@ -35,7 +35,8 @@ val base : t
 val with_name : string -> t -> t
 
 val with_rob_lsq : rob:int -> lsq:int -> t -> t
-(** Design change 1 doubles both: [with_rob_lsq ~rob:32 ~lsq:16 base]. *)
+(** Design change 1 doubles both: [with_rob_lsq ~rob:32 ~lsq:16 base].
+    Raises [Invalid_argument] for a size below 1. *)
 
 val with_l1d_size : int -> t -> t
 (** Design change 2 halves the L1 D-cache: [with_l1d_size 8192 base].

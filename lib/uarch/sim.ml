@@ -164,7 +164,24 @@ type state = {
   mutable measure_start : int;
 }
 
+(* Configs built by record update bypass the [Config.with_*] checks, so
+   the sizes the scheduler divides by or slots into are checked here. *)
+let check_sizes (cfg : Config.t) =
+  List.iter
+    (fun (what, v) ->
+      if v < 1 then
+        invalid_arg (Printf.sprintf "Sim.create: %s %d < 1 in config %s" what v cfg.name))
+    [
+      ("rob_size", cfg.rob_size);
+      ("lsq_size", cfg.lsq_size);
+      ("fetch_width", cfg.fetch_width);
+      ("decode_width", cfg.decode_width);
+      ("issue_width", cfg.issue_width);
+      ("commit_width", cfg.commit_width);
+    ]
+
 let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
+  check_sizes cfg;
   {
     st_cfg = cfg;
     measure_from = max 0 measure_from;
@@ -184,7 +201,7 @@ let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
     mem_port = Fu_pool.create cfg.mem_ports;
     reg_ready = Array.make 64 0;
     rob = Array.make cfg.rob_size 0;
-    lsq = Array.make (max cfg.lsq_size 1) 0;
+    lsq = Array.make cfg.lsq_size 0;
     st_class_counts = Array.make I.class_count 0;
     icache_hit_latency = cfg.icache.Hierarchy.l1_latency;
     index = 0;

@@ -73,7 +73,10 @@ val create :
     so several cores' L1s drain into shared L2 instances.  The caller
     is responsible for any override matching the config's latencies
     (the scheduling code reads latencies from the hierarchy it is
-    given).  [measure_from] is as in {!run_events}. *)
+    given).  [measure_from] is as in {!run_events}.  Raises
+    [Invalid_argument] when the ROB, the LSQ or any pipeline width is
+    smaller than 1 (configs built by record update skip the
+    {!Config} transformers' own checks). *)
 
 val feed : state -> Pc_funcsim.Machine.event -> unit
 (** Schedule one retired instruction.  The event record may be reused

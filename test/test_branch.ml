@@ -224,6 +224,50 @@ let qcheck_mispredict_rate_bounds =
       let r = P.misprediction_rate p in
       r >= 0.0 && r <= 1.0)
 
+(* The one-pass sweep must be indistinguishable from running each
+   predictor on its own over the same stream. *)
+let sweep_configs =
+  [
+    P.Taken;
+    P.Not_taken;
+    P.Bimodal 64;
+    P.base_gap;
+    P.Gshare { history_bits = 6; entries = 256 };
+    P.Pap { history_bits = 4; tables = 32 };
+    P.Tournament
+      {
+        meta_entries = 64;
+        a = P.Bimodal 64;
+        b =
+          P.Tournament
+            {
+              meta_entries = 16;
+              a = P.Gshare { history_bits = 4; entries = 64 };
+              b = P.base_gap;
+            };
+      };
+    P.Perfect;
+  ]
+
+let qcheck_sweep_equals_independent =
+  QCheck.Test.make ~name:"sweep = independent per-config observe loops" ~count:100
+    QCheck.(list_of_size Gen.(int_range 0 400) (pair (int_bound 4095) bool))
+    (fun stream ->
+      let counts p = (P.lookups p, P.mispredictions p) in
+      let swept =
+        P.sweep sweep_configs ~feed:(fun observe ->
+            List.iter (fun (pc, taken) -> observe ~pc ~taken) stream)
+      in
+      let independent =
+        List.map
+          (fun cfg ->
+            let p = P.create cfg in
+            List.iter (fun (pc, taken) -> ignore (P.observe p ~pc ~taken)) stream;
+            counts p)
+          sweep_configs
+      in
+      List.map counts swept = independent)
+
 let () =
   Alcotest.run "pc_branch"
     [
@@ -266,4 +310,5 @@ let () =
           Alcotest.test_case "rates" `Quick test_rate_accounting;
           QCheck_alcotest.to_alcotest qcheck_mispredict_rate_bounds;
         ] );
+      ("sweep", [ QCheck_alcotest.to_alcotest qcheck_sweep_equals_independent ]);
     ]

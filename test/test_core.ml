@@ -119,6 +119,48 @@ let test_fig4_onepass_identical () =
         (s.E.clone_mpi = oracle p.Pipeline.clone))
     (Lazy.force pipelines) j1
 
+let test_bpred_sweep_oracle () =
+  (* One functional pass prices all ten predictors; each predictor's
+     counts must equal what the timing model itself counts when it is
+     run with that predictor (the per-config oracle).  The study must be
+     byte-identical across pool widths, and exact under sampling too. *)
+  let module Config = Pc_uarch.Config in
+  let module Sim = Pc_uarch.Sim in
+  let module P = Pc_branch.Predictor in
+  let ps = Lazy.force pipelines in
+  let programs =
+    List.concat_map (fun (p : Pipeline.t) -> [ p.Pipeline.original; p.Pipeline.clone ]) ps
+  in
+  let oracle =
+    Pc_exec.Pool.map pool
+      (fun (program, bp) ->
+        Sim.run ~max_instrs:settings.E.sim_instrs (Config.with_bpred bp Config.base) program)
+      (List.concat_map (fun prog -> List.map (fun bp -> (prog, bp)) E.bpred_configs) programs)
+  in
+  let swept = List.concat_map (E.bpred_sweep settings) programs in
+  Alcotest.(check (list (pair int int)))
+    "sweep counts = per-config Sim"
+    (List.map (fun r -> (r.Sim.branches, r.Sim.mispredictions)) oracle)
+    (List.map (fun p -> (P.lookups p, P.mispredictions p)) swept);
+  let studies pool s = E.bpred_studies ~pool s ps in
+  let j1 = studies (Pc_exec.Pool.create ~num_domains:1) settings in
+  let j4 = studies (Pc_exec.Pool.create ~num_domains:4) settings in
+  Alcotest.(check bool) "bpred -j1 = -j4 (byte identity)" true (j1 = j4);
+  Alcotest.(check bool) "sampling leaves the rates exact" true
+    (j1 = studies pool { settings with E.sample = Some 100_000 });
+  (* the study's rates are the oracle's, bit for bit, in program order *)
+  let oracle_rates = List.map Sim.mispredict_rate oracle in
+  let study_rates =
+    List.concat_map
+      (fun (s : E.bpred_study) ->
+        Array.to_list s.E.bp_orig_rates @ Array.to_list s.E.bp_clone_rates)
+      j1
+  in
+  Alcotest.(check bool) "study rates = per-config Sim rates" true (study_rates = oracle_rates);
+  Alcotest.(check (list string)) "bench order"
+    (List.map (fun (p : Pipeline.t) -> p.Pipeline.name) ps)
+    (List.map (fun (s : E.bpred_study) -> s.E.bp_bench) j1)
+
 let test_fig5_rankings () =
   let studies = E.cache_studies ~pool settings (Lazy.force pipelines) in
   let scatter = E.rankings_scatter studies in
@@ -217,5 +259,7 @@ let () =
           Alcotest.test_case "table 3 relative errors" `Slow test_table3_relative_errors;
           Alcotest.test_case "figure 8 speedups" `Slow test_width_change_speedups_tracked;
           Alcotest.test_case "ablation" `Slow test_ablation_indep_beats_dep;
+          Alcotest.test_case "bpred sweep equals per-config Sim" `Slow
+            test_bpred_sweep_oracle;
         ] );
     ]

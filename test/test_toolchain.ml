@@ -157,6 +157,41 @@ let test_file_roundtrip () =
   Sys.remove path;
   Alcotest.(check bool) "file round trip" true (program_equal p p2)
 
+(* --- file loader --- *)
+
+let with_file contents f =
+  let path = Filename.temp_file "perfclone" ".s" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_loader_short_files () =
+  let halts contents =
+    with_file contents (fun path ->
+        match Pc_isa.Loader.load path with
+        | Ok p -> p.Program.code = [| I.Halt |]
+        | Error msg -> Alcotest.failf "%S: %s" contents msg)
+  in
+  Alcotest.(check bool) "4-byte halt" true (halts "halt");
+  Alcotest.(check bool) "5-byte halt" true (halts "halt\n");
+  let rejected contents =
+    with_file contents (fun path -> Result.is_error (Pc_isa.Loader.load path))
+  in
+  Alcotest.(check bool) "empty file" true (rejected "");
+  Alcotest.(check bool) "magic prefix" true (rejected "SRI");
+  Alcotest.(check bool) "bare magic" true (rejected "SRISC1")
+
+let test_loader_both_formats () =
+  let p = List.hd (sample_programs ()) in
+  let loads contents =
+    with_file contents (fun path ->
+        match Pc_isa.Loader.load path with
+        | Ok p2 -> program_equal p p2
+        | Error msg -> Alcotest.fail msg)
+  in
+  Alcotest.(check bool) "binary" true
+    (loads (Bytes.to_string (Encoding.to_bytes p)));
+  Alcotest.(check bool) "text" true (loads (Parser.roundtrip_text p))
+
 let qcheck_varint_roundtrip =
   QCheck.Test.make ~name:"Li immediates of any magnitude survive encoding" ~count:200
     QCheck.(pair int64 (int_bound 31))
@@ -199,5 +234,10 @@ let () =
           Alcotest.test_case "file IO" `Quick test_file_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_fli_roundtrip;
+        ] );
+      ( "loader",
+        [
+          Alcotest.test_case "short files" `Quick test_loader_short_files;
+          Alcotest.test_case "both formats" `Quick test_loader_both_formats;
         ] );
     ]

@@ -46,6 +46,37 @@ let test_widths_reject_nonpositive () =
   Alcotest.(check int) "width 1 accepted" 1
     (Config.with_widths 1 Config.base).Config.issue_width
 
+let test_rob_lsq_reject_nonpositive () =
+  List.iter
+    (fun (rob, lsq, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Config.with_rob_lsq ~rob ~lsq Config.base)))
+    [
+      (0, 8, "Config.with_rob_lsq: rob 0 < 1");
+      (-1, 8, "Config.with_rob_lsq: rob -1 < 1");
+      (16, 0, "Config.with_rob_lsq: lsq 0 < 1");
+      (16, -3, "Config.with_rob_lsq: lsq -3 < 1");
+    ];
+  Alcotest.(check int) "rob 1 accepted" 1
+    (Config.with_rob_lsq ~rob:1 ~lsq:1 Config.base).Config.rob_size
+
+(* Record updates skip the transformers; the timing model checks again
+   before it could divide by zero or clamp silently. *)
+let test_sim_rejects_bad_record_config () =
+  let prog = loop_program ~name:"tiny" ~iters:10 (independent_alu_body 2) in
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Sim.run cfg prog)))
+    [
+      ( { Config.base with Config.rob_size = 0 },
+        "Sim.create: rob_size 0 < 1 in config " ^ Config.base.Config.name );
+      ( { Config.base with Config.lsq_size = 0 },
+        "Sim.create: lsq_size 0 < 1 in config " ^ Config.base.Config.name );
+      ( { Config.base with Config.commit_width = 0 },
+        "Sim.create: commit_width 0 < 1 in config " ^ Config.base.Config.name );
+    ]
+
 let test_dependencies_limit_ilp () =
   let ind = loop_program ~name:"ind" ~iters:2000 (independent_alu_body 16) in
   let dep = loop_program ~name:"dep" ~iters:2000 (dependent_alu_body 16) in
@@ -308,6 +339,10 @@ let () =
           Alcotest.test_case "IPC bounded by width" `Quick test_ipc_bounded_by_width;
           Alcotest.test_case "widths below 1 rejected" `Quick
             test_widths_reject_nonpositive;
+          Alcotest.test_case "ROB/LSQ below 1 rejected" `Quick
+            test_rob_lsq_reject_nonpositive;
+          Alcotest.test_case "timing model rejects bad record configs" `Quick
+            test_sim_rejects_bad_record_config;
           Alcotest.test_case "dependencies limit ILP" `Quick test_dependencies_limit_ilp;
           Alcotest.test_case "width scales independent code" `Quick
             test_width_scales_independent_code;
